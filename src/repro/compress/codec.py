@@ -19,6 +19,8 @@ import zlib
 from abc import ABC, abstractmethod
 from typing import Dict
 
+import numpy as np
+
 from repro.errors import CodecError
 
 __all__ = [
@@ -27,6 +29,9 @@ __all__ = [
     "NoneCodec",
     "encode_varint",
     "decode_varint",
+    "encode_varints",
+    "decode_varints",
+    "walk_chain",
 ]
 
 _MAGIC = b"PC"
@@ -63,6 +68,92 @@ def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
         if shift > 63:
             raise CodecError("varint too long")
+
+
+#: Longest varint :func:`decode_varint` accepts: ten 7-bit groups cover 64 bits.
+_MAX_VARINT_BYTES = 10
+
+
+def decode_varints(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode the varint that begins at every position of ``buf``, vectorized.
+
+    ``buf`` is a uint8 array.  Returns ``(values, sizes)``: the uint64
+    value and the byte length of each varint.  A size of 0 marks a varint
+    that runs off the end of ``buf``, is longer than 10 bytes, or does
+    not fit in 64 bits; its value is meaningless.
+    """
+    n = len(buf)
+    # First terminating byte (below 0x80) at or after every position.
+    stops = np.where(buf < 0x80, np.arange(n), n + _MAX_VARINT_BYTES)
+    sizes = np.minimum.accumulate(stops[::-1])[::-1] - np.arange(n) + 1
+    low = np.zeros(n + _MAX_VARINT_BYTES, dtype=np.uint64)
+    low[:n] = buf & 0x7F
+    sizes *= sizes <= _MAX_VARINT_BYTES
+    sizes *= (sizes < _MAX_VARINT_BYTES) | (low[_MAX_VARINT_BYTES - 1 :][:n] <= 1)
+    values = low[:n].copy()
+    live = np.flatnonzero(sizes > 1)
+    for i in range(1, _MAX_VARINT_BYTES):
+        if not len(live):
+            break
+        values[live] |= low[live + i] << np.uint64(7 * i)
+        live = np.compress(sizes[live] > i + 1, live)
+    return values, sizes
+
+
+def encode_varints(values: np.ndarray) -> bytes:
+    """Concatenated varints of a uint64 array; inverse of :func:`decode_varints`."""
+    values = np.asarray(values, dtype=np.uint64)
+    sizes = np.ones(len(values), dtype=np.int64)
+    for i in range(1, _MAX_VARINT_BYTES):
+        sizes += values >= np.uint64(1 << (7 * i))
+    ends = np.cumsum(sizes)
+    out = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint8)
+    starts = ends - sizes
+    for i in range(int(sizes.max(initial=0))):
+        live = sizes > i
+        group = (values[live] >> np.uint64(7 * i)) & np.uint64(0x7F)
+        more = np.where(sizes[live] > i + 1, np.uint64(0x80), np.uint64(0))
+        out[starts[live] + i] = group | more
+    return out.tobytes()
+
+
+#: Pointer-doubling levels of :func:`walk_chain`: its Python walk visits
+#: one chain position in ``2**_JUMP_LEVELS``.
+_JUMP_LEVELS = 5
+
+
+def walk_chain(nxt: np.ndarray, stop: int, count: int) -> np.ndarray:
+    """The first ``count`` positions of the chain 0, nxt[0], nxt[nxt[0]], ...
+
+    This is how the decoders find where each token or code starts when
+    that depends on every earlier one.  ``nxt`` (int64) maps every
+    position to a later one; positions at or past ``stop`` are fixed
+    points (sentinels such as "end" or "malformed"), and the result ends
+    early, with at least one of them, if the chain reaches one.
+
+    Pointer doubling (``top = top[top]``, in two reused buffers) builds
+    the jump over ``2**_JUMP_LEVELS`` positions; a Python walk takes
+    those jumps from 0, and ``2**_JUMP_LEVELS - 1`` vector steps of
+    ``nxt`` from all the walk's anchors at once fill in the rest.
+    """
+    stride = 1 << _JUMP_LEVELS
+    top, spare = nxt.take(nxt), np.empty_like(nxt)
+    for _ in range(_JUMP_LEVELS - 1):
+        top.take(top, out=spare)
+        top, spare = spare, top
+    anchors = []
+    pos = 0
+    for _ in range(-(-count // stride)):
+        anchors.append(pos)
+        if pos >= stop:
+            break
+        pos = int(top[pos])
+    del top, spare
+    rows = np.empty((stride, len(anchors)), dtype=np.int64)
+    rows[0] = anchors
+    for step in range(1, stride):
+        nxt.take(rows[step - 1], out=rows[step])
+    return rows.T.ravel()[:count]
 
 
 class Codec(ABC):

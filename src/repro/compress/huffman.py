@@ -8,7 +8,9 @@ Encoded layout::
 Code lengths are limited to 15 bits by iteratively halving frequencies
 until the tree fits (the standard simple alternative to package-merge).
 Encoding is vectorized with numpy (one pass per code-bit level); decoding
-uses a full prefix table of 2^maxlen entries.
+looks up codes in a full prefix table of 2^maxlen entries, built only from
+code lengths that satisfy the Kraft inequality, at every bit position at
+once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.compress.codec import walk_chain
 from repro.errors import CodecError
 
 __all__ = ["encode", "decode", "MAX_CODE_BITS"]
@@ -129,46 +132,70 @@ def encode(data: bytes) -> bytes:
     return _pack_lengths(lengths) + payload
 
 
+def _prefix_table(lengths: List[int]) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Validated full prefix table: (max_len, symbol, code length) per word.
+
+    Canonical codes, taken in (length, symbol) order, tile the table of
+    ``2**max_len`` words left to right, each code covering
+    ``2**(max_len - length)`` words; so the table is one ``repeat``.
+    Lengths whose Kraft sum exceeds 1 would tile past the end: rejected.
+    Words no code covers (an incomplete code) have length 0.
+    """
+    lens = np.asarray(lengths, dtype=np.int64)
+    symbols = np.flatnonzero(lens)
+    if not len(symbols):
+        raise CodecError("Huffman stream declares symbols but header is empty")
+    symbols = symbols[np.argsort(lens[symbols], kind="stable")]
+    max_len = int(lens.max())
+    spans = np.int64(1) << (max_len - lens[symbols])
+    used = int(spans.sum())
+    if used > 1 << max_len:
+        raise CodecError("Huffman code lengths violate the Kraft inequality")
+    table_sym = np.zeros(1 << max_len, dtype=np.uint8)
+    table_len = np.zeros(1 << max_len, dtype=np.uint8)
+    table_sym[:used] = np.repeat(symbols, spans)
+    table_len[:used] = np.repeat(lens[symbols], spans)
+    return max_len, table_sym, table_len
+
+
 def decode(body: bytes, nsymbols: int) -> bytes:
-    """Inverse of :func:`encode` given the original symbol count."""
+    """Inverse of :func:`encode` given the original symbol count.
+
+    Vectorized like the LZ77 token decoder: look up the code that would
+    start at every bit position of the payload, then walk the chain of
+    code starts from bit 0 (:func:`~repro.compress.codec.walk_chain`).
+    """
     lengths = _unpack_lengths(body[: _NUM_SYMBOLS // 2])
-    payload = body[_NUM_SYMBOLS // 2 :]
+    payload = np.frombuffer(body, dtype=np.uint8, offset=_NUM_SYMBOLS // 2)
     if nsymbols == 0:
         return b""
-    present = [(length, sym) for sym, length in enumerate(lengths) if length > 0]
-    if not present:
-        raise CodecError("Huffman stream declares symbols but header is empty")
-    codes = canonical_codes(lengths)
-    max_len = max(length for length, _ in present)
+    nbits = 8 * len(payload)
+    if nsymbols > nbits:
+        raise CodecError(
+            f"Huffman payload of {len(payload)} bytes cannot hold {nsymbols} symbols"
+        )
+    max_len, table_sym, table_len = _prefix_table(lengths)
 
-    # Full prefix table: every max_len-bit word maps to (symbol, code length).
-    table_sym = [0] * (1 << max_len)
-    table_len = [0] * (1 << max_len)
-    for length, sym in present:
-        base = codes[sym] << (max_len - length)
-        for idx in range(base, base + (1 << (max_len - length))):
-            table_sym[idx] = sym
-            table_len[idx] = length
-
-    out = bytearray(nsymbols)
-    acc = 0
-    nbits = 0
-    ptr = 0
-    nbody = len(payload)
-    mask = (1 << max_len) - 1
-    for i in range(nsymbols):
-        while nbits < max_len and ptr < nbody:
-            acc = (acc << 8) | payload[ptr]
-            ptr += 1
-            nbits += 8
-        if nbits >= max_len:
-            idx = (acc >> (nbits - max_len)) & mask
-        else:
-            idx = (acc << (max_len - nbits)) & mask
-        length = table_len[idx]
-        if length == 0 or length > nbits:
-            raise CodecError("corrupt Huffman payload")
-        out[i] = table_sym[idx]
-        nbits -= length
-        acc &= (1 << nbits) - 1
-    return bytes(out)
+    # The max_len-bit word at every bit position 0..nbits, zero-padded
+    # past the end: bit position 8 * b + phase reads the 24-bit word at
+    # byte b, shifted by phase.
+    padded = np.zeros(len(payload) + 3, dtype=np.int32)
+    padded[: len(payload)] = payload
+    words = padded[:-2] << 16 | padded[1:-1] << 8 | padded[2:]
+    window = np.empty(nbits + 1, dtype=np.int32)
+    for phase in range(8):
+        lane = window[phase::8]
+        np.right_shift(words[: len(lane)], 24 - max_len - phase, out=lane)
+    window &= (1 << max_len) - 1
+    symbols = table_sym.take(window)
+    lens = table_len.take(window)
+    del window
+    # A code must be in the table and end inside the payload; anything
+    # else jumps to the sentinel nbits + 1.
+    nxt = np.full(nbits + 2, nbits + 1, dtype=np.int64)
+    np.add(np.arange(nbits + 1), lens, out=nxt[:-1], where=lens > 0)
+    nxt[nxt > nbits] = nbits + 1
+    chain = walk_chain(nxt, nbits + 1, nsymbols + 1)
+    if len(chain) <= nsymbols or chain[-1] > nbits:
+        raise CodecError("corrupt Huffman payload")
+    return symbols.take(chain[:-1]).tobytes()

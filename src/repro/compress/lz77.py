@@ -14,13 +14,14 @@ The compressor is a greedy hash-table matcher in the Snappy family:
 loop consults a head table (optionally walking a ``prev`` chain for
 higher-effort codecs), and a skip accelerator grows the stride through
 incompressible regions so worst-case inputs stay near memcpy speed.
+The decompressor is vectorized with numpy; see :func:`decompress_tokens`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.compress.codec import decode_varint, encode_varint
+from repro.compress.codec import decode_varints, encode_varint, walk_chain
 from repro.errors import CodecError
 
 __all__ = ["compress_tokens", "decompress_tokens"]
@@ -143,30 +144,71 @@ def compress_tokens(
 
 
 def decompress_tokens(body: bytes, orig_size: int) -> bytes:
-    """Expand a token stream back to the original bytes."""
-    out = bytearray()
-    pos = 0
+    """Expand a token stream back to exactly ``orig_size`` bytes.
+
+    Vectorized in two phases.  *Parse*: decode a varint at every body
+    position, derive where the next token would start from each
+    position, and walk the chain of token starts (:func:`walk_chain`).
+    *Expand*: give every output byte a source index -- a literal byte
+    points into the body, a match byte to the output byte ``offset``
+    back, which handles overlapping matches byte for byte -- resolve
+    match chains by pointer doubling and gather once.
+
+    Every token length is checked against ``orig_size`` before anything
+    output-sized is allocated; any malformed stream raises
+    :class:`CodecError`.
+    """
+    if not 0 <= orig_size < 1 << 63:
+        raise CodecError(f"declared size {orig_size} out of range")
     n = len(body)
-    while pos < n:
-        tag, pos = decode_varint(body, pos)
-        if tag & 1:
-            length = tag >> 1
-            offset, pos = decode_varint(body, pos)
-            if offset <= 0 or offset > len(out):
-                raise CodecError(f"match offset {offset} out of range at {len(out)}")
-            start = len(out) - offset
-            if offset >= length:
-                out += out[start : start + length]
-            else:
-                pattern = bytes(out[start:])
-                repeats, remainder = divmod(length, offset)
-                out += pattern * repeats + pattern[:remainder]
-        else:
-            run = tag >> 1
-            if pos + run > n:
-                raise CodecError("truncated literal run")
-            out += body[pos : pos + run]
-            pos += run
-        if len(out) > orig_size:
-            raise CodecError("token stream expands past declared size")
-    return bytes(out)
+    buf = np.frombuffer(body, dtype=np.uint8)
+    values, sizes = decode_varints(buf)
+
+    # Parse: where the token that would start at each position ends.  A
+    # literal's run must fit in the body; a match needs a whole offset.
+    after = np.arange(n, dtype=np.int64) + sizes
+    run = values >> np.uint64(1)
+    is_match = (values & np.uint64(1)).astype(bool)
+    room = (n - after).astype(np.uint64)
+    span = np.minimum(run, room).astype(np.int64)
+    offset_sizes = np.append(sizes, 0)[after]
+    nxt = after + span + is_match * (offset_sizes - span)
+    bad = (sizes == 0) | np.where(is_match, offset_sizes == 0, run > room)
+    nxt += bad * (n + 1 - nxt)
+    # At most n tokens precede the end, so the chain always reaches n or
+    # n + 1; it rises until then.
+    chain = walk_chain(np.append(nxt, [n, n + 1]), n, n + 1)
+    end = int(np.searchsorted(chain, n))
+    if chain[end] > n:
+        raise CodecError(f"malformed token at body offset {int(chain[end - 1])}")
+    starts = chain[:end]
+
+    # Bound every length before allocating anything output-sized.  Each
+    # length is below 2**63 and ``orig_size`` is too, so no running sum
+    # can wrap around before an earlier one exceeds ``orig_size``.
+    lengths = run[starts]
+    ends = np.cumsum(lengths, dtype=np.uint64)
+    if (ends > np.uint64(orig_size)).any():
+        raise CodecError("token stream expands past declared size")
+    if (ends[-1] if len(ends) else 0) != orig_size:
+        raise CodecError("token stream expands short of declared size")
+    out_starts = (ends - lengths).astype(np.int64)
+    after = after[starts]
+    matches = np.flatnonzero(is_match[starts])
+    offsets = values[after[matches]]
+    if ((offsets == 0) | (offsets > out_starts[matches].astype(np.uint64))).any():
+        raise CodecError("match offset out of range")
+
+    # Expand over one index space: body bytes [0, n) are roots, output
+    # byte j is node n + j.  Each doubling step points every output byte
+    # twice as far up its chain, until all point into the body.
+    shift = after - out_starts - n
+    shift[matches] = -offsets.astype(np.int64)
+    ptr = np.arange(n + orig_size, dtype=np.int64)
+    out = ptr[n:]
+    out += np.repeat(shift, lengths.astype(np.int64))
+    while True:
+        hop = ptr.take(out)
+        if not (hop >= n).any():
+            return buf.take(hop).tobytes()
+        out[:] = hop

@@ -24,7 +24,12 @@ import struct
 import numpy as np
 
 from repro.compress import huffman
-from repro.compress.codec import decode_varint, encode_varint
+from repro.compress.codec import (
+    decode_varint,
+    decode_varints,
+    encode_varint,
+    encode_varints,
+)
 from repro.errors import CodecError
 
 __all__ = ["compress_lossy", "decompress_lossy", "max_error"]
@@ -41,22 +46,21 @@ def _unzigzag(values: np.ndarray) -> np.ndarray:
     return (values >> 1) ^ -(values & 1)
 
 
-def _encode_varints(values: np.ndarray) -> bytes:
-    out = bytearray()
-    for v in values.tolist():
-        out += encode_varint(int(v) & 0xFFFFFFFFFFFFFFFF)
-    return bytes(out)
-
-
 def _decode_varints(buf: bytes, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.uint64)
-    pos = 0
-    for i in range(count):
-        value, pos = decode_varint(buf, pos)
-        out[i] = value
-    if pos != len(buf):
-        raise CodecError(f"{len(buf) - pos} trailing bytes in quantum stream")
-    return out
+    """Exactly ``count`` varints filling ``buf``; each ends at a byte below 0x80."""
+    arr = np.frombuffer(buf, dtype=np.uint8)
+    stops = np.flatnonzero(arr < 0x80)
+    if len(stops) < count:
+        raise CodecError(f"quantum stream holds {len(stops)} of {count} values")
+    stops = stops[:count]
+    end = int(stops[-1]) + 1 if count else 0
+    if end != len(buf):
+        raise CodecError(f"{len(buf) - end} trailing bytes in quantum stream")
+    starts = np.append(0, stops[:-1] + 1)[:count]
+    values, sizes = decode_varints(arr)
+    if (sizes[starts] == 0).any():
+        raise CodecError("quantum varint longer than 64 bits")
+    return values[starts]
 
 
 def compress_lossy(values: np.ndarray, error_bound: float) -> bytes:
@@ -72,7 +76,7 @@ def compress_lossy(values: np.ndarray, error_bound: float) -> bytes:
 
     quanta = np.round(safe / (2.0 * error_bound)).astype(np.int64)
     deltas = np.diff(quanta, prepend=np.int64(0))
-    payload = _encode_varints(_zigzag(deltas))
+    payload = encode_varints(_zigzag(deltas).view(np.uint64))
     encoded = huffman.encode(payload)
 
     out = bytearray(_MAGIC)
@@ -91,14 +95,20 @@ def decompress_lossy(data: bytes) -> np.ndarray:
     """Inverse of :func:`compress_lossy` (within the error bound)."""
     if data[:3] != _MAGIC:
         raise CodecError("bad SZ-class frame magic")
+    if len(data) < 11:
+        raise CodecError("truncated SZ-class frame header")
     pos = 3
     (error_bound,) = struct.unpack_from("<d", data, pos)
     pos += 8
     n, pos = decode_varint(data, pos)
     n_exceptions, pos = decode_varint(data, pos)
+    if n_exceptions > n:
+        raise CodecError(f"{n_exceptions} exceptions for {n} values")
     exceptions = []
     for _ in range(n_exceptions):
         idx, pos = decode_varint(data, pos)
+        if idx >= n or pos + 8 > len(data):
+            raise CodecError("truncated or out-of-range SZ exception list")
         (value,) = struct.unpack_from("<d", data, pos)
         pos += 8
         exceptions.append((idx, value))
