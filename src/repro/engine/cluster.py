@@ -1,7 +1,11 @@
 """Cluster wiring: simulated nodes, links, OCS services, S3 gateway.
 
-One :class:`Cluster` is built per query run so the clock, ledgers, and
-utilization counters are per-query.  Topology follows Table 1 / Figure 4:
+:meth:`Environment.run <repro.bench.env.Environment.run>` builds one
+:class:`Cluster` per query run, so its clock, ledgers, and utilization
+counters are per-query.  A :class:`~repro.service.QueryService` instead
+shares one cluster across every query it serves: there the ledgers and
+counters are cumulative, and a query's own figures come from its
+per-query metrics registry.  Topology follows Table 1 / Figure 4:
 
     compute (Presto) <--10GbE--> OCS frontend <--10GbE--> storage node(s)
 
@@ -52,9 +56,9 @@ class Cluster:
         self.costs = costs
         self.store = store
         #: Optional :class:`~repro.cache.manager.CacheManager`.  The manager
-        #: outlives the cluster (clusters are per-query); each storage node
-        #: borrows its per-node page-cache tier from it, and the
-        #: coordinator reads the result/split tiers off this handle.
+        #: outlives the cluster (clusters are per-query or per-service);
+        #: each storage node borrows its per-node page-cache tier from it,
+        #: and the coordinator reads the result/split tiers off this handle.
         self.cache = cache
         #: tie_break/sim_observer feed the determinism harness
         #: (repro.analysis.determinism); production runs use the defaults.

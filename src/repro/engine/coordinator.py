@@ -111,7 +111,8 @@ class QueryResult:
     utilization: Dict[str, float] = field(default_factory=dict)
     #: The query's span tree when the cluster ran with tracing enabled.
     trace: Optional[Trace] = None
-    #: The stage graph the query ran through (EXPLAIN renders this).
+    #: The stage graph the query ran through (EXPLAIN renders this),
+    #: retired: it describes the graph but cannot be re-executed.
     stage_graph: Optional[StageGraph] = None
 
     @property
@@ -805,7 +806,7 @@ class Coordinator:
                     stage_seconds=stage_seconds,
                     utilization=utilization,
                     trace=tracer.trace(root=root) if tracer.recording else None,
-                    stage_graph=lowered.graph,
+                    stage_graph=lowered.graph.retired(),
                 )
             cache.account("stale" if resident else "miss", tenant, 0)
             for branch in lowered.branches:
@@ -885,10 +886,10 @@ class Coordinator:
         return QueryResult(
             batch=batch,
             execution_seconds=elapsed,
-            # Delta over the link ledger: exact for a dedicated cluster;
-            # on a shared cluster concurrent queries interleave on the
-            # link, so the service reports per-query movement from the
-            # per-query ``bytes_received`` counter instead.
+            # Delta over the link ledger across the query's window:
+            # exact on a dedicated cluster.  On a shared (service)
+            # cluster it also counts concurrent queries' transfers; the
+            # query's own movement is ``metrics.value("bytes_received")``.
             data_moved_bytes=cluster.bytes_to_compute() - bytes_start,
             splits=lowered.total_splits,
             plan_before=plan_before,
@@ -897,7 +898,7 @@ class Coordinator:
             stage_seconds=stage_seconds,
             utilization=utilization,
             trace=tracer.trace(root=root) if tracer.recording else None,
-            stage_graph=lowered.graph,
+            stage_graph=lowered.graph.retired(),
         )
 
     # -- lowering: logical plan -> stage graph ----------------------------------

@@ -27,7 +27,7 @@ graph and render it without executing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.arrowsim.schema import Schema
@@ -197,6 +197,21 @@ class StageGraph:
                 del remaining[stage.stage_id]
         return order
 
+    def retired(self) -> "StageGraph":
+        """A copy that describes this graph but can no longer run it.
+
+        Every stage keeps its id, kind, inputs, schemas and attributes;
+        its body is replaced by one that raises :class:`PlanError`.  A
+        finished query's result carries this copy, so it does not retain
+        the closures' lowered plans, handles and Substrait bytes.
+        """
+        graph = StageGraph()
+        graph._stages = {
+            stage_id: replace(stage, run=_retired_body)
+            for stage_id, stage in self._stages.items()
+        }
+        return graph
+
     # -- rendering ---------------------------------------------------------
 
     def render(self, timings: Optional[Mapping[str, float]] = None) -> str:
@@ -219,3 +234,10 @@ class StageGraph:
                 line += f"  {timings.get(stage.stage_id, 0.0) * 1e3:10.3f} ms"
             lines.append(line)
         return "\n".join(lines)
+
+
+def _retired_body(ctx: StageContext, inputs: Dict[str, Any]) -> Any:
+    raise PlanError(
+        "this stage belongs to a finished query's stage graph "
+        "and cannot be re-executed"
+    )

@@ -40,15 +40,21 @@ class TransferRecord:
 
 
 class TransferLedger:
-    """Append-only log of transfers, queryable by endpoint/label."""
+    """Append-only log of transfers, queryable by endpoint/label.
+
+    Byte totals are kept per ``(src, dst, label)``.  Labels come from a
+    small fixed set (``plan-*``, ``get-*``, ``select-*``,
+    ``rpc:<method>:*``), so :meth:`total_bytes` costs the same however
+    many transfers a long-lived cluster has recorded.
+    """
 
     def __init__(self) -> None:
         self._records: List[TransferRecord] = []
-        self._totals: Dict[Tuple[str, str], int] = {}
+        self._totals: Dict[Tuple[str, str, str], int] = {}
 
     def record(self, rec: TransferRecord) -> None:
         self._records.append(rec)
-        key = (rec.src, rec.dst)
+        key = (rec.src, rec.dst, rec.label)
         self._totals[key] = self._totals.get(key, 0) + rec.nbytes
 
     def total_bytes(
@@ -58,18 +64,13 @@ class TransferLedger:
         label: Optional[str] = None,
     ) -> int:
         """Sum bytes over records matching all given filters (None = any)."""
-        if label is None and src is not None and dst is not None:
-            return self._totals.get((src, dst), 0)
-        total = 0
-        for rec in self._records:
-            if src is not None and rec.src != src:
-                continue
-            if dst is not None and rec.dst != dst:
-                continue
-            if label is not None and rec.label != label:
-                continue
-            total += rec.nbytes
-        return total
+        return sum(
+            nbytes
+            for (rec_src, rec_dst, rec_label), nbytes in self._totals.items()
+            if (src is None or rec_src == src)
+            and (dst is None or rec_dst == dst)
+            and (label is None or rec_label == label)
+        )
 
     def records(self) -> Iterator[TransferRecord]:
         return iter(self._records)

@@ -14,6 +14,7 @@ the determinism tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import StatusCode, TraceError
@@ -24,7 +25,7 @@ __all__ = ["SpanContext", "Span", "Trace", "STAGE_KEY"]
 STAGE_KEY = "stage"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpanContext:
     """What crosses a process/service boundary: just the identifiers.
 
@@ -38,9 +39,13 @@ class SpanContext:
     span_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One timed operation; ``end`` is ``None`` while still open."""
+    """One timed operation; ``end`` is ``None`` while still open.
+
+    Slotted, because a long-lived cluster keeps every span it recorded:
+    per-span data beyond the fields below goes in ``attributes``.
+    """
 
     name: str
     context: SpanContext
@@ -89,16 +94,27 @@ class Span:
 
 
 class Trace:
-    """All spans of one query run, indexed for tree traversal."""
+    """All spans of one query run, indexed for tree traversal.
+
+    The id and children index is built on first use: every query result
+    carries a trace, and most are never walked.
+    """
 
     def __init__(self, spans: List[Span]) -> None:
         self.spans = list(spans)
-        self._by_id: Dict[int, Span] = {s.span_id: s for s in self.spans}
-        self._children: Dict[Optional[int], List[Span]] = {}
+
+    @cached_property
+    def _by_id(self) -> Dict[int, Span]:
+        return {s.span_id: s for s in self.spans}
+
+    @cached_property
+    def _children(self) -> Dict[Optional[int], List[Span]]:
+        children: Dict[Optional[int], List[Span]] = {}
         for span in self.spans:
-            self._children.setdefault(span.parent_id, []).append(span)
-        for siblings in self._children.values():
+            children.setdefault(span.parent_id, []).append(span)
+        for siblings in children.values():
             siblings.sort(key=lambda s: (s.start, s.span_id))
+        return children
 
     def __len__(self) -> int:
         return len(self.spans)

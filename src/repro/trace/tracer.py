@@ -27,6 +27,8 @@ __all__ = ["Tracer", "NOOP_TRACER", "NOOP_SPAN"]
 class _NoopSpan(Span):
     """Shared inert span handed out by disabled tracers."""
 
+    __slots__ = ()
+
     def set(self, key: str, value: object) -> "Span":
         return self
 
@@ -47,7 +49,10 @@ class Tracer:
         #: Returns the current *simulated* time (``lambda: sim.now``).
         self.clock = clock
         self.enabled = enabled
-        self._spans: List[Span] = []
+        #: Finished and open spans, grouped by ``trace_id`` so that one
+        #: query's trace costs only that query's spans on a long-lived
+        #: cluster.  Within a group, spans are in creation order.
+        self._by_trace: Dict[int, List[Span]] = {}
         self._next_span_id = 1
         self._next_trace_id = 1
 
@@ -90,7 +95,7 @@ class Tracer:
         self._next_span_id += 1
         if stage is not None:
             span.attributes[STAGE_KEY] = stage
-        self._spans.append(span)
+        self._by_trace.setdefault(trace_id, []).append(span)
         return span
 
     def end(self, span: Span) -> None:
@@ -125,20 +130,24 @@ class Tracer:
         return self.enabled
 
     def spans(self) -> List[Span]:
-        return list(self._spans)
+        """Every collected span, in creation order (sequential ``span_id``)."""
+        spans = [span for group in self._by_trace.values() for span in group]
+        spans.sort(key=lambda span: span.span_id)
+        return spans
 
     def trace(self, root: Optional[Span] = None) -> Trace:
         """The collected spans as a :class:`Trace`.
 
         With ``root`` given, only that query's spans (same ``trace_id``)
-        are included — a long-lived cluster may serve several queries.
+        are included — a long-lived cluster may serve several queries —
+        at a cost proportional to that query's spans alone.
         """
         if root is None:
-            return Trace(self._spans)
-        return Trace([s for s in self._spans if s.trace_id == root.trace_id])
+            return Trace(self.spans())
+        return Trace(self._by_trace.get(root.trace_id, []))
 
     def clear(self) -> None:
-        self._spans.clear()
+        self._by_trace.clear()
 
 
 #: Default tracer wired into components when tracing is off: records

@@ -26,7 +26,7 @@ from repro.arrowsim.dtypes import FLOAT64, INT64
 from repro.arrowsim.record_batch import concat_batches
 from repro.arrowsim.schema import Field, Schema
 from repro.bench.env import Environment, RunConfig
-from repro.config import DEFAULT_TESTBED, FaultSpec
+from repro.config import DEFAULT_TESTBED, CacheSpec, FaultSpec
 from repro.core import PushdownPolicy
 from repro.engine import DagScheduler, SchedulerSpec, Stage, StageGraph
 from repro.errors import (
@@ -633,3 +633,94 @@ class TestSpeculationTieBreak:
             assert metrics["speculative_wins"] == 1.0
         finally:
             del self.PRIMARY_SECONDS  # restore the class attribute
+
+
+# --------------------------------------------------------------------------
+# A finished query's stage graph is retired: it describes, it cannot run
+# --------------------------------------------------------------------------
+
+
+def _described(stage):
+    return (
+        stage.stage_id,
+        stage.kind,
+        stage.inputs,
+        dict(stage.input_schemas),
+        stage.output_schema,
+        dict(stage.attributes),
+    )
+
+
+class TestRetiredStageGraph:
+    @pytest.fixture()
+    def live_graphs(self, monkeypatch):
+        """Every graph the coordinator retires, captured before retiring."""
+        graphs = []
+        retire = StageGraph.retired
+
+        def spy(graph):
+            graphs.append(graph)
+            return retire(graph)
+
+        monkeypatch.setattr(StageGraph, "retired", spy)
+        return graphs
+
+    @staticmethod
+    def _assert_retired_copy_of(retired, live):
+        assert retired is not live
+        assert [_described(s) for s in retired] == [_described(s) for s in live]
+        assert retired.render() == live.render()
+        assert retired.render(timings={"merge": 0.5}) == live.render(
+            timings={"merge": 0.5}
+        )
+        verify_stage_graph(retired)
+        for stage in retired:
+            with pytest.raises(PlanError, match="cannot be re-executed"):
+                stage.run(None, {})
+            # The live graph's bodies are untouched.
+            assert live.stage(stage.stage_id).run is not stage.run
+
+    def test_q3_full_result(self, small_env, live_graphs):
+        result = small_env.run(TPCH_Q3_FULL, STATIC, schema="tpch")
+        (live,) = live_graphs
+        assert len(live) == len(result.stage_graph) >= 8
+        self._assert_retired_copy_of(result.stage_graph, live)
+
+    def test_result_cache_hit(self, live_graphs):
+        config = RunConfig(
+            label="cached", mode="ocs", policy=PushdownPolicy.filter_only(),
+            cache=CacheSpec(),
+        )
+        env = _join_env()
+        env.run(TPCH_Q12, config, "tpch")
+        hit = env.run(TPCH_Q12, config, "tpch")
+        assert hit.metrics.value("result_cache_hits") == 1
+        assert len(live_graphs) == 2
+        self._assert_retired_copy_of(hit.stage_graph, live_graphs[1])
+
+    def test_retired_graph_cannot_be_scheduled(self, small_env):
+        from repro.sim.kernel import Simulator
+
+        graph = small_env.run(TPCH_Q3_FULL, STATIC, schema="tpch").stage_graph
+        sim = Simulator()
+        scheduler = DagScheduler(sim, graph, SchedulerSpec())
+        proc = sim.process(scheduler.run(), name="rerun")
+        with pytest.raises(PlanError, match="cannot be re-executed"):
+            sim.run(until=proc)
+
+    def test_explain_analyze_is_byte_identical_to_the_live_graph(
+        self, small_env, monkeypatch
+    ):
+        retired_text = small_env.explain(
+            TPCH_Q3_FULL, STATIC, schema="tpch", analyze=True
+        )
+        monkeypatch.setattr(StageGraph, "retired", lambda graph: graph)
+        live_text = small_env.explain(
+            TPCH_Q3_FULL, STATIC, schema="tpch", analyze=True
+        )
+        header = "Stage graph (per-stage wall time):"
+        assert header in retired_text
+        assert retired_text[retired_text.index(header):] == (
+            live_text[live_text.index(header):]
+        )
+        assert retired_text == live_text

@@ -1,8 +1,12 @@
 """Multi-tenant query service: admission, scheduling, SLOs, determinism."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.analysis.determinism import DigestRecorder
+from repro.bench import service as service_bench
 from repro.bench.env import Environment, RunConfig
 from repro.client import connect
 from repro.config import ServiceSpec
@@ -398,3 +402,64 @@ class TestClientFacade:
         assert repro.QueryService.__name__ == "QueryService"
         assert repro.ServiceSpec.__name__ == "ServiceSpec"
         assert repro.QueryTemplate.__name__ == "QueryTemplate"
+
+
+class TestRetainedMemory:
+    """A long-lived service keeps a fixed amount per query it served.
+
+    Every finished job keeps its ``QueryResult`` (``service.jobs``), and
+    the shared cluster keeps every span and transfer record.  What one
+    more query adds must not depend on how many came before it: this is
+    what keeps a long service run's peak memory in proportion to the
+    queries it served.  ``tracemalloc`` counts the bytes still allocated
+    at each query boundary, so no wall-clock figure is involved.
+
+    The service runs as the benchmark runs it: the suite-wide SimTSan and
+    plan verifier are off here, since the sanitizer's happens-before state
+    itself grows with every simulated access.
+    """
+
+    BUDGET_BYTES_PER_QUERY = 30 * 1024
+    MARKS = (20, 60, 100)
+
+    def test_bytes_retained_per_query_stay_flat(self):
+        spec = ServiceSpec(max_active_queries=3, max_queue_depth=64, policy="fair")
+        service = QueryService(
+            service_bench.build_environment(),
+            spec,
+            base_config=RunConfig(
+                label="service", mode="ocs",
+                strict_sanitize=False, strict_verify=False,
+            ),
+        )
+        handles = open_loop(
+            service,
+            MIXED_TEMPLATES,
+            queries=self.MARKS[-1] + 1,
+            mean_interarrival_s=0.060,
+            seed=0,
+        )
+
+        def retained_after(index):
+            service.wait_for(service.jobs[index])
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        # Tracing starts at the first mark: only what is allocated from
+        # then on and still alive at a later mark is counted.
+        retained_after(self.MARKS[0])
+        tracemalloc.start()
+        try:
+            retained = [retained_after(index) for index in self.MARKS]
+        finally:
+            tracemalloc.stop()
+        service.drain()
+        assert all(h.status() == str(JobStatus.SUCCEEDED) for h in handles)
+        per_query = [
+            (retained[i + 1] - retained[i]) / (self.MARKS[i + 1] - self.MARKS[i])
+            for i in range(len(self.MARKS) - 1)
+        ]
+        for window in per_query:
+            assert window < self.BUDGET_BYTES_PER_QUERY, per_query
+        first, second = per_query
+        assert second <= first * 1.10, per_query

@@ -1,6 +1,10 @@
 """Unit tests for Resource, Store, Link, SimNode, metrics, and cost params."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import NodeSpec
 from repro.errors import SimulationError
@@ -15,6 +19,7 @@ from repro.sim import (
     StageTimer,
     Store,
 )
+from repro.sim.network import TransferLedger, TransferRecord
 
 
 @pytest.fixture()
@@ -148,6 +153,62 @@ class TestLink:
         link = Link(sim, bandwidth_bps=100.0)
         with pytest.raises(SimulationError):
             link.transfer("a", "b", -1)
+
+
+_NODES = ("compute", "frontend", "storage-0")
+_LABELS = ("plan-dispatch", "get-req", "select-result", "rpc:execute:response")
+
+_transfer_records = st.lists(
+    st.builds(
+        TransferRecord,
+        src=st.sampled_from(_NODES),
+        dst=st.sampled_from(_NODES),
+        nbytes=st.integers(min_value=0, max_value=1 << 40),
+        label=st.sampled_from(_LABELS),
+        start=st.just(0.0),
+        end=st.just(0.0),
+    ),
+    max_size=40,
+)
+
+
+def _brute_force_total(ledger, src, dst, label):
+    return sum(
+        rec.nbytes
+        for rec in ledger.records()
+        if (src is None or rec.src == src)
+        and (dst is None or rec.dst == dst)
+        and (label is None or rec.label == label)
+    )
+
+
+def _assert_totals_match_records(ledger):
+    # Every src/dst/label combination of set-or-None, including values
+    # that never occur on the ledger.
+    for src, dst, label in itertools.product(
+        (None, *_NODES, "elsewhere"), (None, *_NODES), (None, *_LABELS, "other")
+    ):
+        assert ledger.total_bytes(src=src, dst=dst, label=label) == (
+            _brute_force_total(ledger, src, dst, label)
+        ), (src, dst, label)
+
+
+class TestTransferLedger:
+    @given(_transfer_records, _transfer_records)
+    @settings(max_examples=60, deadline=None)
+    def test_totals_equal_a_sum_over_records(self, before, after):
+        ledger = TransferLedger()
+        for rec in before:
+            ledger.record(rec)
+        assert list(ledger.records()) == before
+        _assert_totals_match_records(ledger)
+        ledger.clear()
+        assert len(ledger) == 0
+        _assert_totals_match_records(ledger)
+        for rec in after:
+            ledger.record(rec)
+        assert list(ledger.records()) == after
+        _assert_totals_match_records(ledger)
 
 
 class TestSimNode:

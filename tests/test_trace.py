@@ -13,6 +13,7 @@ The load-bearing properties:
 
 import dataclasses
 import json
+import random
 
 import numpy as np
 import pytest
@@ -120,6 +121,102 @@ class TestTracer:
         assert len(tracer.trace(root=a)) == 2
         assert len(tracer.trace(root=b)) == 1
         assert len(tracer.trace()) == 3
+
+
+def _interleaved_tracer(seed: int, steps: int = 300):
+    """A tracer fed several concurrent traces, as a shared service cluster
+    sees them; returns it with every span in creation order."""
+    rng = random.Random(seed)
+    now = [0.0]
+
+    def clock():
+        now[0] += rng.choice((0.0, 0.5, 1.0))
+        return now[0]
+
+    tracer = Tracer(clock=clock)
+    created, open_spans = [], []
+    for _ in range(steps):
+        action = rng.random()
+        if action < 0.15 or not created:
+            span = tracer.start("root")
+        elif action < 0.75:
+            span = tracer.start("child", parent=rng.choice(created[-40:]))
+        else:
+            if open_spans:
+                tracer.end(open_spans.pop(rng.randrange(len(open_spans))))
+            continue
+        created.append(span)
+        open_spans.append(span)
+    for span in open_spans:
+        tracer.end(span)
+    return tracer, created
+
+
+class TestTracerIndex:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trace_by_root_matches_a_filter_over_every_span(self, seed):
+        tracer, created = _interleaved_tracer(seed)
+        roots = [s for s in created if s.parent_id is None]
+        assert len(roots) > 5
+        for root in roots:
+            expected = [s for s in created if s.trace_id == root.trace_id]
+            assert tracer.trace(root=root).spans == expected
+        # Any span of a trace selects the same trace as its root.
+        some = created[-1]
+        assert tracer.trace(root=some).spans == [
+            s for s in created if s.trace_id == some.trace_id
+        ]
+
+    def test_spans_and_full_trace_keep_creation_order(self):
+        tracer, created = _interleaved_tracer(seed=11)
+        assert tracer.spans() == created
+        assert tracer.trace().spans == created
+        assert [s.span_id for s in created] == list(range(1, len(created) + 1))
+
+    def test_unknown_noop_or_cleared_root_gives_an_empty_trace(self):
+        tracer, created = _interleaved_tracer(seed=3)
+        stranger = Span(
+            name="x", context=SpanContext(trace_id=10**6, span_id=10**6),
+            parent_id=None, start=0.0,
+        )
+        assert len(tracer.trace(root=stranger)) == 0
+        assert len(tracer.trace(root=NOOP_SPAN)) == 0
+        tracer.clear()
+        assert len(tracer.trace(root=created[0])) == 0
+        assert tracer.spans() == []
+        assert len(tracer.trace()) == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lazy_index_answers_like_an_eager_one(self, seed):
+        tracer, created = _interleaved_tracer(seed)
+        for root in (s for s in created if s.parent_id is None):
+            trace = tracer.trace(root=root)
+            assert "_by_id" not in vars(trace)  # nothing built yet
+            by_id = {s.span_id: s for s in trace.spans}
+            children = {}
+            for span in trace.spans:
+                children.setdefault(span.parent_id, []).append(span)
+            for siblings in children.values():
+                siblings.sort(key=lambda s: (s.start, s.span_id))
+            trace.validate()
+            assert trace.roots() == [
+                s for s in trace.spans
+                if s.parent_id is None or s.parent_id not in by_id
+            ]
+            for span in trace.spans:
+                assert trace.get(span.span_id) is span
+                assert trace.children(span) == children.get(span.span_id, [])
+            assert trace.get(-1) is None
+
+    def test_spans_are_slotted(self):
+        tracer = Tracer(clock=lambda: 0.0)
+        span = tracer.start("x")
+        for value in (span, span.context, NOOP_SPAN):
+            assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            span.rows = 3
+        span.set("rows", 3)  # ad-hoc data goes in attributes
+        assert span.attributes["rows"] == 3
 
 
 class TestTraceStructure:
